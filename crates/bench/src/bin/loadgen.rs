@@ -410,10 +410,9 @@ fn demo_payloads() -> Vec<Vec<u8>> {
 // ---------------------------------------------------- self-contained bench
 
 /// Build the benchmark model. Untrained weights are fine — serving
-/// cost does not depend on parameter values — but the MODEL SIZE
-/// matters: batching amortizes the per-tape parameter injection (which
-/// clones every tensor, token-embedding tables included), so the bench
-/// uses a realistic vocabulary rather than the test-sized tiny world.
+/// cost does not depend on parameter values — but the bench uses a
+/// realistic vocabulary rather than the test-sized tiny world so the
+/// embedding tables have production size.
 fn bench_model() -> (ServeModel, Vec<LinkedMention>) {
     // World generation panics only when a WorldConfig exhausts the KB
     // id space; this fixed bench config is far below those caps.
@@ -428,9 +427,7 @@ fn bench_model() -> (ServeModel, Vec<LinkedMention>) {
         ],
     });
     // Pad the vocabulary to production scale (~24k types, the order of
-    // a wordpiece vocab): the embedding tables are the bulk of what
-    // each tape injection clones, and a test-sized vocab would
-    // understate the fixed cost that batching amortises.
+    // a wordpiece vocab).
     let filler: Vec<String> = (0..24_000).map(|i| format!("tok{i}")).collect();
     let extra = filler.join(" ");
     let vocab = build_vocab(world.kb(), [extra.as_str()], 1);
@@ -517,7 +514,7 @@ fn self_contained(
     let payloads: Vec<Vec<u8>> =
         mentions.iter().map(|m| link_payload(&m.surface, &m.left, &m.right)).collect();
 
-    eprintln!("measuring max_batch=1 (every request pays a full tape) …");
+    eprintln!("measuring max_batch=1 (one forward per request) …");
     let unbatched = measure_config(model_a, 1, 0, requests, concurrency, &payloads)?;
     unbatched.print("unbatched");
     eprintln!("measuring max_batch={max_batch} (fused forwards) …");

@@ -9,6 +9,7 @@
 //! harnesses write.
 
 use mb_eval::{output_dir, Table};
+use mb_serve::json::escape;
 use std::time::{Duration, Instant};
 
 /// Timing-loop configuration.
@@ -280,7 +281,7 @@ impl Harness {
                 Some((n, label)) => format!(
                     ",\"units_per_iter\":{},\"unit\":{},\"throughput_per_s\":{}",
                     json_f64(n),
-                    json_string(label),
+                    escape(label),
                     json_f64(m.throughput().unwrap_or(0.0)),
                 ),
                 None => String::new(),
@@ -289,7 +290,7 @@ impl Harness {
                 "{{\"name\":{},\"iters_per_sample\":{},\"samples\":{},\
                  \"median_ns\":{},\"p95_ns\":{},\"mean_ns\":{},\"stddev_ns\":{},\
                  \"min_ns\":{},\"max_ns\":{}{units}}}",
-                json_string(&m.name),
+                escape(&m.name),
                 m.iters_per_sample,
                 m.samples,
                 json_f64(m.median_ns),
@@ -302,7 +303,7 @@ impl Harness {
         }
         format!(
             "{{\"kind\":\"bench\",\"file\":{},\"results\":[{}]}}",
-            json_string(name),
+            escape(name),
             entries.join(",")
         )
     }
@@ -316,8 +317,8 @@ pub fn emit_table(t: &Table, name: &str) {
     let rows: Vec<String> = t.rows().iter().map(|r| json_string_array(r)).collect();
     let json = format!(
         "{{\"kind\":\"table\",\"file\":{},\"title\":{},\"headers\":{},\"rows\":[{}],\"notes\":{}}}",
-        json_string(name),
-        json_string(t.title()),
+        escape(name),
+        escape(t.title()),
         headers,
         rows.join(","),
         json_string_array(t.notes()),
@@ -354,29 +355,8 @@ fn fmt_quantity(x: f64, label: &str) -> String {
     }
 }
 
-/// Escape a string for a JSON document.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_string_array(items: &[String]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| json_string(s)).collect();
+    let cells: Vec<String> = items.iter().map(|s| escape(s)).collect();
     format!("[{}]", cells.join(","))
 }
 
@@ -440,10 +420,10 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_is_sound() {
-        assert_eq!(json_string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_string("µs — fine"), "\"µs — fine\"");
+    fn json_f64_maps_non_finite_to_zero() {
         assert_eq!(json_f64(f64::NAN), "0");
+        assert_eq!(json_f64(f64::INFINITY), "0");
+        assert_eq!(json_f64(1.5), "1.5");
     }
 
     #[test]

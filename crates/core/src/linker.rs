@@ -93,12 +93,9 @@ pub struct TwoStageLinker<'a> {
     pub kb: &'a KnowledgeBase,
     /// Configuration.
     pub cfg: LinkerConfig,
-    index: Arc<DenseIndex>,
-    qindex: Option<Arc<QuantizedIndex>>,
-    /// Approximate retrieval backend (e.g. an IVF index over a sharded
-    /// store); when set it answers stage one instead of the exact
-    /// indexes.
-    ann: Option<Arc<dyn CandidateSource>>,
+    /// Stage-one retrieval: the one candidate source every query goes
+    /// through, chosen and validated at construction.
+    source: Arc<dyn CandidateSource>,
     frozen_bi: FrozenBiEncoder,
     frozen_cross: FrozenCrossEncoder,
 }
@@ -139,43 +136,8 @@ impl<'a> TwoStageLinker<'a> {
         cfg: LinkerConfig,
     ) -> mb_common::Result<Self> {
         let index = Arc::new(DenseIndex::try_build(bi, vocab, &cfg.input, kb, entities)?);
-        let qindex = QuantizedIndex::from_dense(&index, cfg.quant).map(Arc::new);
-        let frozen_bi = bi.freeze(cfg.quant);
-        let frozen_cross = cross.freeze(cfg.quant);
-        Ok(TwoStageLinker {
-            bi,
-            cross,
-            vocab,
-            kb,
-            cfg,
-            index,
-            qindex,
-            ann: None,
-            frozen_bi,
-            frozen_cross,
-        })
-    }
-
-    /// Assemble a linker around a **precomputed** entity index — the
-    /// serving constructor: the server embeds its dictionary once at
-    /// startup and then builds a (cheap, borrowing) linker per batch.
-    ///
-    /// # Errors
-    /// [`mb_common::Error::ShapeMismatch`] when the index vectors do
-    /// not match the bi-encoder's output dimension;
-    /// [`mb_common::Error::NotFound`] when the index references an
-    /// entity id outside `kb`.
-    pub fn with_index(
-        bi: &'a BiEncoder,
-        cross: &'a CrossEncoder,
-        vocab: &'a Vocab,
-        kb: &'a KnowledgeBase,
-        cfg: LinkerConfig,
-        index: DenseIndex,
-    ) -> mb_common::Result<Self> {
-        let frozen_bi = bi.freeze(cfg.quant);
-        let frozen_cross = cross.freeze(cfg.quant);
-        Self::with_frozen(bi, cross, vocab, kb, cfg, Arc::new(index), None, frozen_bi, frozen_cross)
+        let (frozen_bi, frozen_cross) = (bi.freeze(cfg.quant), cross.freeze(cfg.quant));
+        Self::with_frozen(bi, cross, vocab, kb, cfg, index, None, frozen_bi, frozen_cross)
     }
 
     /// Assemble a linker around **pre-frozen** shared state — the
@@ -183,12 +145,19 @@ impl<'a> TwoStageLinker<'a> {
     /// model weight (`index`, `qindex`, `frozen_bi`, `frozen_cross`)
     /// is an `Arc`-backed handle, so calling this per worker (or per
     /// batch) shares one frozen model process-wide instead of cloning
-    /// parameters. When `cfg.quant` is not [`QuantMode::Exact`] and no
-    /// `qindex` is supplied, the index is quantized here (once per
-    /// call — pass a shared one to avoid that).
+    /// parameters.
+    ///
+    /// Stage one retrieves from exactly one source: `qindex` when
+    /// supplied, else `index` quantized under `cfg.quant` (once per
+    /// call — pass a shared `qindex` to avoid that), else `index`
+    /// itself under [`QuantMode::Exact`]. [`TwoStageLinker::with_ann`]
+    /// replaces that choice.
     ///
     /// # Errors
-    /// Same validation as [`TwoStageLinker::with_index`].
+    /// [`mb_common::Error::ShapeMismatch`] when the chosen source's
+    /// vectors do not match the bi-encoder's output dimension;
+    /// [`mb_common::Error::NotFound`] when it can return an entity id
+    /// outside `kb`.
     #[allow(clippy::too_many_arguments)] // the point is threading shared handles through
     pub fn with_frozen(
         bi: &'a BiEncoder,
@@ -201,61 +170,26 @@ impl<'a> TwoStageLinker<'a> {
         frozen_bi: FrozenBiEncoder,
         frozen_cross: FrozenCrossEncoder,
     ) -> mb_common::Result<Self> {
-        if !index.is_empty() && index.dim() != bi.config().out_dim {
-            return Err(mb_common::Error::shape(
-                "TwoStageLinker::with_index",
-                format!("index dim {}", bi.config().out_dim),
-                format!("index dim {}", index.dim()),
-            ));
-        }
-        if let Some(&bad) = index.ids().iter().find(|id| id.0 as usize >= kb.len()) {
-            return Err(mb_common::Error::NotFound(format!(
-                "indexed entity {} outside knowledge base of {} entities",
-                bad.0,
-                kb.len()
-            )));
-        }
-        let qindex = qindex.or_else(|| QuantizedIndex::from_dense(&index, cfg.quant).map(Arc::new));
-        Ok(TwoStageLinker {
-            bi,
-            cross,
-            vocab,
-            kb,
-            cfg,
-            index,
-            qindex,
-            ann: None,
-            frozen_bi,
-            frozen_cross,
-        })
+        let source: Arc<dyn CandidateSource> =
+            match qindex.or_else(|| QuantizedIndex::from_dense(&index, cfg.quant).map(Arc::new)) {
+                Some(qindex) => qindex,
+                None => index,
+            };
+        check_source(source.as_ref(), bi, kb)?;
+        Ok(TwoStageLinker { bi, cross, vocab, kb, cfg, source, frozen_bi, frozen_cross })
     }
 
-    /// Attach an approximate retrieval backend; stage one then queries
-    /// it instead of the exact indexes. The backend must agree with the
-    /// bi-encoder dimension and stay inside the knowledge base.
+    /// Replace the stage-one source with an approximate one (e.g. an
+    /// IVF index over a sharded store), under the same validation as
+    /// [`TwoStageLinker::with_frozen`].
     ///
     /// # Errors
     /// [`mb_common::Error::ShapeMismatch`] on a dimension mismatch;
-    /// [`mb_common::Error::NotFound`] when the backend's id range
+    /// [`mb_common::Error::NotFound`] when the source's id range
     /// exceeds `kb`.
     pub fn with_ann(mut self, ann: Arc<dyn CandidateSource>) -> mb_common::Result<Self> {
-        if !ann.is_empty() && ann.dim() != self.bi.config().out_dim {
-            return Err(mb_common::Error::shape(
-                "TwoStageLinker::with_ann",
-                format!("index dim {}", self.bi.config().out_dim),
-                format!("index dim {}", ann.dim()),
-            ));
-        }
-        if let Some(max) = ann.max_id() {
-            if max.0 as usize >= self.kb.len() {
-                return Err(mb_common::Error::NotFound(format!(
-                    "ann entity {} outside knowledge base of {} entities",
-                    max.0,
-                    self.kb.len()
-                )));
-            }
-        }
-        self.ann = Some(ann);
+        check_source(ann.as_ref(), self.bi, self.kb)?;
+        self.source = ann;
         Ok(self)
     }
 
@@ -263,36 +197,7 @@ impl<'a> TwoStageLinker<'a> {
     pub fn candidates(&self, mention: &LinkedMention) -> Vec<(EntityId, f64)> {
         let bag = mention_bag(self.vocab, &self.cfg.input, mention);
         let q = self.frozen_bi.embed_mentions_batch(&[bag]);
-        self.retrieve(q.row(0))
-    }
-
-    /// Top-k for stage one: the approximate backend when attached,
-    /// else the quantized index when one is active, else the exact
-    /// index.
-    fn retrieve(&self, query: &[f64]) -> Vec<(EntityId, f64)> {
-        if let Some(ann) = &self.ann {
-            return ann.top_k(query, self.cfg.k);
-        }
-        match &self.qindex {
-            Some(qi) => qi.top_k(query, self.cfg.k),
-            None => self.index.top_k(query, self.cfg.k),
-        }
-    }
-
-    /// Fused stage one for a whole batch: one `top_k_batch` call on
-    /// the same backend [`TwoStageLinker::retrieve`] would pick, so
-    /// row `i` is bit-identical to `retrieve(queries.row(i))`.
-    fn retrieve_batch(
-        &self,
-        queries: &mb_tensor::Tensor,
-    ) -> mb_common::Result<Vec<Vec<(EntityId, f64)>>> {
-        if let Some(ann) = &self.ann {
-            return ann.top_k_batch(queries, self.cfg.k, self.cfg.threads);
-        }
-        match &self.qindex {
-            Some(qi) => qi.top_k_batch(queries, self.cfg.k, self.cfg.threads),
-            None => self.index.top_k_batch(queries, self.cfg.k, self.cfg.threads),
-        }
+        self.source.top_k(q.row(0), self.cfg.k)
     }
 
     /// Build a cross-encoder candidate set for a mention from retrieved
@@ -354,9 +259,9 @@ impl<'a> TwoStageLinker<'a> {
     /// `link(&mentions[i])`.
     ///
     /// # Errors
-    /// [`mb_common::Error::ShapeMismatch`] when the retrieval backend
+    /// [`mb_common::Error::ShapeMismatch`] when the candidate source
     /// rejects the query matrix — unreachable for a linker whose
-    /// index/ann passed construction validation.
+    /// source passed construction validation.
     pub fn link_batch(&self, mentions: &[LinkedMention]) -> mb_common::Result<Vec<LinkResult>> {
         self.link_batch_cached(mentions, None)
     }
@@ -431,7 +336,7 @@ impl<'a> TwoStageLinker<'a> {
             }
         }
         let queries = mb_tensor::Tensor::from_vec(vec![mentions.len(), dim], qdata);
-        let retrieved = self.retrieve_batch(&queries)?;
+        let retrieved = self.source.top_k_batch(&queries, self.cfg.k, self.cfg.threads)?;
         // Candidate-set assembly fans out over mention index (each
         // mention's work reads only shared immutable state); stage two
         // is one cross-encoder pass over every candidate set. Results
@@ -458,9 +363,9 @@ impl<'a> TwoStageLinker<'a> {
         let mut recalled = 0usize;
         let mut correct_given_recalled = 0usize;
         let mut correct = 0usize;
-        // A retrieval shape error is unreachable here: the index (or
-        // ann backend) was validated against the bi-encoder dimension
-        // at construction. Under `evaluate_parallel` this panic is
+        // A retrieval shape error is unreachable here: the candidate
+        // source was validated against the bi-encoder dimension at
+        // construction. Under `evaluate_parallel` this panic is
         // contained as a typed `Error::Worker` at the fork point.
         let results = self.link_batch(chunk).expect("construction-validated linker");
         for (m, r) in chunk.iter().zip(results) {
@@ -550,23 +455,6 @@ impl<'a> TwoStageLinker<'a> {
         Ok(Self::metrics_from_counts(mentions.len(), recalled, correct_given_recalled, correct))
     }
 
-    /// The underlying dense index (for diagnostics/benches).
-    pub fn index(&self) -> &DenseIndex {
-        &self.index
-    }
-
-    /// Shared handle to the exact index, for handing to
-    /// [`TwoStageLinker::with_frozen`] peers without re-embedding.
-    pub fn index_shared(&self) -> Arc<DenseIndex> {
-        Arc::clone(&self.index)
-    }
-
-    /// Shared handle to the quantized index, when `cfg.quant` is not
-    /// [`QuantMode::Exact`].
-    pub fn quantized_index(&self) -> Option<Arc<QuantizedIndex>> {
-        self.qindex.clone()
-    }
-
     /// The frozen bi-encoder handle this linker scores with.
     pub fn frozen_bi(&self) -> &FrozenBiEncoder {
         &self.frozen_bi
@@ -575,6 +463,32 @@ impl<'a> TwoStageLinker<'a> {
     /// The frozen cross-encoder handle this linker scores with.
     pub fn frozen_cross(&self) -> &FrozenCrossEncoder {
         &self.frozen_cross
+    }
+}
+
+/// The one validation every stage-one source passes: its vectors match
+/// the bi-encoder's output dimension (an empty source accepts any), and
+/// every id it can return resolves in `kb`.
+fn check_source(
+    source: &dyn CandidateSource,
+    bi: &BiEncoder,
+    kb: &KnowledgeBase,
+) -> mb_common::Result<()> {
+    let out_dim = bi.config().out_dim;
+    if !source.is_empty() && source.dim() != out_dim {
+        return Err(mb_common::Error::shape(
+            "TwoStageLinker source",
+            format!("index dim {out_dim}"),
+            format!("index dim {}", source.dim()),
+        ));
+    }
+    match source.max_id() {
+        Some(max) if max.0 as usize >= kb.len() => Err(mb_common::Error::NotFound(format!(
+            "indexed entity {} outside knowledge base of {} entities",
+            max.0,
+            kb.len()
+        ))),
+        _ => Ok(()),
     }
 }
 
@@ -719,25 +633,32 @@ mod tests {
     fn link_batch_is_bit_identical_to_sequential_link() {
         let f = fixture();
         let domain = f.world.domain("TargetX");
-        let linker = TwoStageLinker::new(
-            &f.bi,
-            &f.cross,
-            &f.vocab,
-            f.world.kb(),
-            f.world.kb().domain_entities(domain.id),
-            LinkerConfig { k: 8, ..LinkerConfig::default() },
-        );
         let mentions = &f.test[..24];
-        let singles: Vec<LinkResult> =
-            mentions.iter().map(|m| linker.link(m).expect("link")).collect();
-        for size in [1usize, 2, 7, 24] {
-            let mut batched = Vec::new();
-            for chunk in mentions.chunks(size) {
-                batched.extend(linker.link_batch(chunk).expect("link"));
+        for quant in [QuantMode::Exact, QuantMode::F16, QuantMode::Int8] {
+            let linker = TwoStageLinker::new(
+                &f.bi,
+                &f.cross,
+                &f.vocab,
+                f.world.kb(),
+                f.world.kb().domain_entities(domain.id),
+                LinkerConfig { k: 8, quant, ..LinkerConfig::default() },
+            );
+            let singles: Vec<LinkResult> =
+                mentions.iter().map(|m| linker.link(m).expect("link")).collect();
+            // Per-mention stage one and the fused batch path query the
+            // same source, so their rankings cannot drift apart.
+            for (m, single) in mentions.iter().zip(&singles) {
+                assert_eq!(linker.candidates(m), single.retrieved, "{quant:?}");
             }
-            // PartialEq on LinkResult compares f64 scores exactly:
-            // this is the bit-identity guarantee serving relies on.
-            assert_eq!(batched, singles, "batch size {size}");
+            for size in [1usize, 2, 7, 24] {
+                let mut batched = Vec::new();
+                for chunk in mentions.chunks(size) {
+                    batched.extend(linker.link_batch(chunk).expect("link"));
+                }
+                // PartialEq on LinkResult compares f64 scores exactly:
+                // this is the bit-identity guarantee serving relies on.
+                assert_eq!(batched, singles, "{quant:?} batch size {size}");
+            }
         }
     }
 
@@ -766,34 +687,61 @@ mod tests {
     }
 
     #[test]
-    fn with_index_validates_dimensions_and_ids() {
+    fn construction_validates_the_chosen_source() {
         let f = fixture();
         let domain = f.world.domain("TargetX");
         let dict = f.world.kb().domain_entities(domain.id);
-        let cfg = LinkerConfig { k: 8, ..LinkerConfig::default() };
-        let index = DenseIndex::build(&f.bi, &f.vocab, &cfg.input, f.world.kb(), dict);
-        let linker =
-            TwoStageLinker::with_index(&f.bi, &f.cross, &f.vocab, f.world.kb(), cfg, index)
-                .expect("well-formed index");
-        let direct = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), dict, cfg);
+        let exact = LinkerConfig { k: 8, ..LinkerConfig::default() };
+        let int8 = LinkerConfig { quant: QuantMode::Int8, ..exact };
+        let (dim, kb_len) = (f.bi.config().out_dim, f.world.kb().len());
+        let good = Arc::new(DenseIndex::build(&f.bi, &f.vocab, &exact.input, f.world.kb(), dict));
+        let dense = |cols: usize, id: u32| {
+            Arc::new(DenseIndex::from_vectors(
+                mb_tensor::Tensor::zeros([1, cols]),
+                vec![EntityId(id)],
+            ))
+        };
+        let quantized = |index: &DenseIndex| {
+            Arc::new(QuantizedIndex::from_dense(index, QuantMode::Int8).expect("int8 table"))
+        };
+        let build = |cfg: LinkerConfig, index, qindex| {
+            TwoStageLinker::with_frozen(
+                &f.bi,
+                &f.cross,
+                &f.vocab,
+                f.world.kb(),
+                cfg,
+                index,
+                qindex,
+                f.bi.freeze(cfg.quant),
+                f.cross.freeze(cfg.quant),
+            )
+        };
+        // A well-formed index answers exactly like the embedding
+        // constructor.
+        let direct = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), dict, exact);
+        let linker = build(exact, Arc::clone(&good), None).expect("well-formed index");
         assert_eq!(
             linker.link_batch(&f.test[..4]).expect("link"),
             direct.link_batch(&f.test[..4]).expect("link")
         );
-        // Wrong dimensionality is rejected.
-        let bad_dim = DenseIndex::from_vectors(
-            mb_tensor::Tensor::zeros([1, f.bi.config().out_dim + 1]),
-            vec![dict[0]],
-        );
-        assert!(TwoStageLinker::with_index(&f.bi, &f.cross, &f.vocab, f.world.kb(), cfg, bad_dim)
-            .is_err());
-        // Out-of-range entity ids are rejected.
-        let bad_id = DenseIndex::from_vectors(
-            mb_tensor::Tensor::zeros([1, f.bi.config().out_dim]),
-            vec![EntityId(f.world.kb().len() as u32)],
-        );
-        assert!(TwoStageLinker::with_index(&f.bi, &f.cross, &f.vocab, f.world.kb(), cfg, bad_id)
-            .is_err());
+        let rejected = [
+            // Wrong dimensionality.
+            ("dense dim", exact, dense(dim + 1, dict[0].0), None),
+            // An entity id outside the knowledge base.
+            ("dense id", exact, dense(dim, kb_len as u32), None),
+            // The quantized table is what an Int8 linker retrieves
+            // from, so its ids are checked even when the dense index
+            // beside it is well formed.
+            ("qindex id", int8, Arc::clone(&good), Some(quantized(&dense(dim, kb_len as u32)))),
+            ("qindex dim", int8, Arc::clone(&good), Some(quantized(&dense(dim + 1, dict[0].0)))),
+        ];
+        for (case, cfg, index, qindex) in rejected {
+            assert!(build(cfg, index, qindex).is_err(), "{case} accepted");
+        }
+        // `with_ann` runs the same check on its replacement source.
+        let ann: Arc<dyn CandidateSource> = dense(dim, kb_len as u32);
+        assert!(build(exact, good, None).expect("well-formed").with_ann(ann).is_err());
     }
 
     #[test]
@@ -828,28 +776,34 @@ mod tests {
         let f = fixture();
         let domain = f.world.domain("TargetX");
         let dict = f.world.kb().domain_entities(domain.id);
-        let cfg = LinkerConfig { k: 8, ..LinkerConfig::default() };
-        let owner = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), dict, cfg);
-        // A "worker" linker assembled purely from shared handles: no
-        // re-embedding, no re-freezing, no parameter clones.
-        let worker = TwoStageLinker::with_frozen(
-            &f.bi,
-            &f.cross,
-            &f.vocab,
-            f.world.kb(),
-            cfg,
-            owner.index_shared(),
-            owner.quantized_index(),
-            owner.frozen_bi().clone(),
-            owner.frozen_cross().clone(),
-        )
-        .expect("shared state is consistent");
-        assert!(worker.frozen_bi().shares_storage(owner.frozen_bi()));
-        assert!(worker.frozen_cross().shares_storage(owner.frozen_cross()));
-        assert_eq!(
-            worker.link_batch(&f.test[..16]).expect("link"),
-            owner.link_batch(&f.test[..16]).expect("link")
-        );
+        for quant in [QuantMode::Exact, QuantMode::Int8] {
+            let cfg = LinkerConfig { k: 8, quant, ..LinkerConfig::default() };
+            let owner = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), dict, cfg);
+            // A "worker" linker assembled from shared handles: the
+            // tables are built once and the frozen encoders are shared,
+            // not re-frozen or cloned parameter by parameter.
+            let index = DenseIndex::build(&f.bi, &f.vocab, &cfg.input, f.world.kb(), dict);
+            let qindex = QuantizedIndex::from_dense(&index, quant).map(Arc::new);
+            let worker = TwoStageLinker::with_frozen(
+                &f.bi,
+                &f.cross,
+                &f.vocab,
+                f.world.kb(),
+                cfg,
+                Arc::new(index),
+                qindex,
+                owner.frozen_bi().clone(),
+                owner.frozen_cross().clone(),
+            )
+            .expect("shared state is consistent");
+            assert!(worker.frozen_bi().shares_storage(owner.frozen_bi()));
+            assert!(worker.frozen_cross().shares_storage(owner.frozen_cross()));
+            assert_eq!(
+                worker.link_batch(&f.test[..16]).expect("link"),
+                owner.link_batch(&f.test[..16]).expect("link"),
+                "{quant:?}"
+            );
+        }
     }
 
     #[test]

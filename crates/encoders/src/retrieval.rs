@@ -1,10 +1,8 @@
 //! Dense top-k retrieval over entity embeddings.
 //!
 //! [`DenseIndex`] is the exact brute-force index used for evaluation
-//! (R@64 must be exact). [`PartitionedIndex`] is an IVF-style
-//! approximate index (k-means partitions, probe the nearest few) used
-//! by the retrieval-latency micro-benchmarks to show the usual
-//! recall/latency trade-off at larger entity counts.
+//! (R@64 must be exact); [`QuantizedIndex`] scores the same table from
+//! f16 or int8 codes.
 //!
 //! [`CandidateSource`] is the retrieval abstraction the two-stage
 //! linker scores candidates through: every index here implements it,
@@ -19,7 +17,6 @@
 use crate::biencoder::BiEncoder;
 use crate::input::{entity_bag, InputConfig};
 use mb_common::util::{top_k_desc, TopK};
-use mb_common::Rng;
 use mb_kb::{EntityId, KnowledgeBase};
 use mb_tensor::kernels::{dot_block_f64, dot_i8_i32, dot_i8_i64, DOT_BLOCK, I8_EXACT_I32_COLS};
 use mb_tensor::quant::{f16_to_f64, quantize_i8, QuantF16, QuantI8};
@@ -583,116 +580,10 @@ impl CandidateSource for QuantizedIndex {
     }
 }
 
-/// IVF-style approximate index: k-means centroids with inverted lists;
-/// queries probe the `nprobe` nearest centroids only.
-#[derive(Debug, Clone)]
-pub struct PartitionedIndex {
-    centroids: Tensor,
-    lists: Vec<Vec<usize>>,
-    vectors: Tensor,
-    ids: Vec<EntityId>,
-    nprobe: usize,
-}
-
-impl PartitionedIndex {
-    /// Partition precomputed vectors into `nlist` clusters via a few
-    /// rounds of Lloyd's algorithm.
-    ///
-    /// # Panics
-    /// Panics if `nlist == 0` or there are fewer vectors than clusters.
-    pub fn build(
-        vectors: Tensor,
-        ids: Vec<EntityId>,
-        nlist: usize,
-        nprobe: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        assert!(nlist > 0, "nlist must be positive");
-        let n = vectors.rows();
-        assert!(n >= nlist, "need at least {nlist} vectors, got {n}");
-        assert_eq!(n, ids.len());
-        let d = vectors.cols();
-        // Init: random distinct rows.
-        let picks = rng.sample_indices(n, nlist);
-        let mut centroids = Tensor::zeros(vec![nlist, d]);
-        for (c, &row) in picks.iter().enumerate() {
-            centroids.row_mut(c).copy_from_slice(vectors.row(row));
-        }
-        let mut assign = vec![0usize; n];
-        for _round in 0..8 {
-            // Assign.
-            for i in 0..n {
-                let v = vectors.row(i);
-                let mut best = (0usize, f64::NEG_INFINITY);
-                for c in 0..nlist {
-                    let s: f64 = centroids.row(c).iter().zip(v).map(|(a, b)| a * b).sum();
-                    if s > best.1 {
-                        best = (c, s);
-                    }
-                }
-                assign[i] = best.0;
-            }
-            // Update.
-            let mut sums = Tensor::zeros(vec![nlist, d]);
-            let mut counts = vec![0usize; nlist];
-            for i in 0..n {
-                let c = assign[i];
-                counts[c] += 1;
-                for (s, &v) in sums.row_mut(c).iter_mut().zip(vectors.row(i)) {
-                    *s += v;
-                }
-            }
-            for c in 0..nlist {
-                if counts[c] > 0 {
-                    let inv = 1.0 / counts[c] as f64;
-                    let src: Vec<f64> = sums.row(c).iter().map(|&x| x * inv).collect();
-                    centroids.row_mut(c).copy_from_slice(&src);
-                }
-            }
-        }
-        let mut lists = vec![Vec::new(); nlist];
-        for (i, &c) in assign.iter().enumerate() {
-            lists[c].push(i);
-        }
-        PartitionedIndex { centroids, lists, vectors, ids, nprobe: nprobe.max(1).min(nlist) }
-    }
-
-    /// Approximate top-k: probe the `nprobe` nearest partitions.
-    pub fn top_k(&self, query: &[f64], k: usize) -> Vec<(EntityId, f64)> {
-        let nlist = self.centroids.rows();
-        let cscores: Vec<f64> = (0..nlist)
-            .map(|c| self.centroids.row(c).iter().zip(query).map(|(a, b)| a * b).sum())
-            .collect();
-        let probes = top_k_desc(&cscores, self.nprobe);
-        let mut cand_scores = Vec::new();
-        let mut cand_rows = Vec::new();
-        for c in probes {
-            for &row in &self.lists[c] {
-                let s: f64 = self.vectors.row(row).iter().zip(query).map(|(a, b)| a * b).sum();
-                cand_scores.push(s);
-                cand_rows.push(row);
-            }
-        }
-        top_k_desc(&cand_scores, k)
-            .into_iter()
-            .map(|i| (self.ids[cand_rows[i]], cand_scores[i]))
-            .collect()
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True if the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mb_common::Rng;
 
     fn random_index(n: usize, d: usize, seed: u64) -> (Tensor, Vec<EntityId>) {
         let mut rng = Rng::seed_from_u64(seed);
@@ -730,41 +621,6 @@ mod tests {
         let index = DenseIndex::from_vectors(vectors, ids);
         let got = index.top_k(&[1.0, 0.0, 0.0, 0.0], 64);
         assert_eq!(got.len(), 5);
-    }
-
-    #[test]
-    fn partitioned_index_high_recall_with_full_probe() {
-        let (vectors, ids) = random_index(300, 8, 4);
-        let exact = DenseIndex::from_vectors(vectors.clone(), ids.clone());
-        let mut rng = Rng::seed_from_u64(5);
-        let approx = PartitionedIndex::build(vectors, ids, 10, 10, &mut rng);
-        let query: Vec<f64> = (0..8).map(|_| rng.gaussian()).collect();
-        // Probing all partitions must equal exact retrieval.
-        let e: Vec<EntityId> = exact.top_k(&query, 20).into_iter().map(|(id, _)| id).collect();
-        let a: Vec<EntityId> = approx.top_k(&query, 20).into_iter().map(|(id, _)| id).collect();
-        assert_eq!(e, a);
-    }
-
-    #[test]
-    fn partitioned_index_partial_probe_trades_recall() {
-        let (vectors, ids) = random_index(400, 8, 6);
-        let exact = DenseIndex::from_vectors(vectors.clone(), ids.clone());
-        let mut rng = Rng::seed_from_u64(7);
-        let approx = PartitionedIndex::build(vectors, ids, 16, 4, &mut rng);
-        let mut overlap = 0;
-        let mut total = 0;
-        for q in 0..20 {
-            let mut qrng = Rng::seed_from_u64(100 + q);
-            let query: Vec<f64> = (0..8).map(|_| qrng.gaussian()).collect();
-            let e: std::collections::HashSet<u32> =
-                exact.top_k(&query, 10).into_iter().map(|(id, _)| id.0).collect();
-            let a: std::collections::HashSet<u32> =
-                approx.top_k(&query, 10).into_iter().map(|(id, _)| id.0).collect();
-            overlap += e.intersection(&a).count();
-            total += 10;
-        }
-        let recall = overlap as f64 / total as f64;
-        assert!(recall > 0.5, "recall {recall} too low even for 4/16 probes");
     }
 
     #[test]

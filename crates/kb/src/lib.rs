@@ -12,7 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bm25;
 pub mod entity;
 pub mod index;
 pub mod store;

@@ -67,7 +67,8 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Minimal JSON string escaping (the workspace is zero-dependency).
+/// Minimal JSON string escaping. A copy of `mb_serve::json::escape`:
+/// this crate keeps zero dependencies, so it cannot call that one.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

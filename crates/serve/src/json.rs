@@ -325,6 +325,9 @@ mod tests {
         let s = "tab\t, quote \", backslash \\, newline\n, unicode \u{1F600}";
         let doc = escape(s);
         assert_eq!(parse(doc.as_bytes()).unwrap(), Json::Str(s.to_string()));
+        assert_eq!(escape("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(escape("µs — fine"), "\"µs — fine\"");
+        assert_eq!(escape("\u{1}"), r#""\u0001""#);
     }
 
     #[test]

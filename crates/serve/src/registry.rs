@@ -12,8 +12,8 @@
 //!    reject torn or bit-flipped files.
 //! 2. **Validate before publishing.** Building a [`Generation`]
 //!    constructs the dense index, the quantized tables, and a
-//!    throwaway [`TwoStageLinker`] — the same fail-fast check the
-//!    server start-up runs. A candidate that fails *any* of this is
+//!    throwaway linker via [`Generation::linker`] — the same call
+//!    every batch worker makes. A candidate that fails *any* of this is
 //!    rejected; the old generation keeps serving untouched.
 //! 3. **Swap one pointer.** Publishing replaces the `Arc<Generation>`
 //!    under a mutex held for the duration of a pointer write. Workers
@@ -73,13 +73,13 @@ pub struct Generation {
 
 impl Generation {
     /// Build and validate a generation: construct the retrieval index
-    /// and prove a linker can be assembled — the same check
-    /// server start-up performs, so a corrupt candidate is rejected
-    /// here instead of failing per request after a swap.
+    /// and prove [`Generation::linker`] succeeds — the same call every
+    /// batch worker makes, so a corrupt candidate is rejected here
+    /// instead of failing per request after a swap.
     ///
     /// # Errors
-    /// Index- or model-consistency errors from
-    /// [`TwoStageLinker::with_frozen`].
+    /// Index errors, or model-consistency errors from
+    /// [`Generation::linker`].
     pub fn build(id: u64, source: String, model: ServeModel) -> Result<Generation> {
         let index = Arc::new(DenseIndex::try_build(
             &model.bi,
@@ -89,18 +89,9 @@ impl Generation {
             &model.dictionary,
         )?);
         let qindex = QuantizedIndex::from_dense(&index, model.linker.quant).map(Arc::new);
-        TwoStageLinker::with_frozen(
-            &model.bi,
-            &model.cross,
-            &model.vocab,
-            &model.kb,
-            model.linker,
-            Arc::clone(&index),
-            qindex.clone(),
-            model.frozen_bi().clone(),
-            model.frozen_cross().clone(),
-        )?;
-        Ok(Generation { id, source, model, index, qindex, store: None, ann: None })
+        let generation = Generation { id, source, model, index, qindex, store: None, ann: None };
+        generation.linker()?;
+        Ok(generation)
     }
 
     /// Build a generation whose stage-one retrieval reads from a
@@ -112,9 +103,9 @@ impl Generation {
     ///   never re-quantizes;
     /// - the IVF index is loaded from `store_dir/IVF` when present and
     ///   otherwise built deterministically with a size-scaled config;
-    /// - the same throwaway-linker validation as [`Generation::build`]
-    ///   runs, with the ANN source attached, before anything is
-    ///   published.
+    /// - the same [`Generation::linker`] validation as
+    ///   [`Generation::build`] runs, with the ANN source attached,
+    ///   before anything is published.
     ///
     /// # Errors
     /// Corrupt store or IVF files ([`Error::Checkpoint`]), geometry
@@ -142,10 +133,10 @@ impl Generation {
                 model.kb.len()
             )));
         }
+        // The store's tables stay resident as the exact reference for
+        // recall checks; stage one retrieves through the ANN source, so
+        // the dense index is left empty.
         let qindex = Some(Arc::new(store.quantized_index()?));
-        // Store-backed generations keep an *empty* dense index: every
-        // retrieval goes through the ANN source, and `with_frozen`
-        // accepts an empty index without a dimension check.
         let index =
             Arc::new(DenseIndex::try_from_vectors(Tensor::zeros(vec![0, out_dim]), Vec::new())?);
         let ivf_path = store_dir.join(IVF_FILE);
@@ -158,19 +149,37 @@ impl Generation {
                 Threads::default(),
             )?)
         };
-        TwoStageLinker::with_frozen(
-            &model.bi,
-            &model.cross,
-            &model.vocab,
-            &model.kb,
-            model.linker,
-            Arc::clone(&index),
-            qindex.clone(),
-            model.frozen_bi().clone(),
-            model.frozen_cross().clone(),
-        )?
-        .with_ann(Arc::clone(&ann) as Arc<dyn CandidateSource>)?;
-        Ok(Generation { id, source, model, index, qindex, store: Some(store), ann: Some(ann) })
+        let generation =
+            Generation { id, source, model, index, qindex, store: Some(store), ann: Some(ann) };
+        generation.linker()?;
+        Ok(generation)
+    }
+
+    /// Assemble this generation's linker from its shared handles — no
+    /// tape, no parameter or table copies. The one place a serving
+    /// linker is built: publishing validates a generation by calling
+    /// it, and every batch worker calls it again per generation.
+    ///
+    /// # Errors
+    /// Index- or model-consistency errors from
+    /// [`TwoStageLinker::with_frozen`] and [`TwoStageLinker::with_ann`].
+    pub fn linker(&self) -> Result<TwoStageLinker<'_>> {
+        let m = &self.model;
+        let linker = TwoStageLinker::with_frozen(
+            &m.bi,
+            &m.cross,
+            &m.vocab,
+            &m.kb,
+            m.linker,
+            Arc::clone(&self.index),
+            self.qindex.clone(),
+            m.frozen_bi().clone(),
+            m.frozen_cross().clone(),
+        )?;
+        match self.ann_source() {
+            Some(ann) => linker.with_ann(ann),
+            None => Ok(linker),
+        }
     }
 
     /// The ANN candidate source for worker linkers, when this

@@ -186,8 +186,8 @@ impl Server {
     ///
     /// # Errors
     /// [`mb_common::Error::Io`] when the address cannot be bound;
-    /// index-validation errors from
-    /// [`TwoStageLinker::with_frozen`] when the model is inconsistent.
+    /// validation errors from [`crate::registry::Generation::linker`]
+    /// when the model is inconsistent.
     pub fn start(model: ServeModel, cfg: ServerConfig) -> mb_common::Result<Server> {
         Server::start_with_registry(ModelRegistry::new(model)?, cfg)
     }
@@ -330,38 +330,15 @@ fn worker_loop(shared: &Arc<Shared>) {
         // Resolve the current generation and assemble its linker from
         // Arc handles only: no tape, no parameter or index copies.
         let generation = shared.registry.current();
-        let linker = match TwoStageLinker::with_frozen(
-            &generation.model.bi,
-            &generation.model.cross,
-            &generation.model.vocab,
-            &generation.model.kb,
-            generation.model.linker,
-            Arc::clone(&generation.index),
-            generation.qindex.clone(),
-            generation.model.frozen_bi().clone(),
-            generation.model.frozen_cross().clone(),
-        ) {
+        let linker = match generation.linker() {
             Ok(linker) => linker,
             Err(e) => {
-                // Generation::build validated this exact construction,
-                // so this arm is unreachable in practice; losing one
-                // worker beats taking the process down.
+                // Publishing validated this exact call, so this arm is
+                // unreachable in practice; losing one worker beats
+                // taking the process down.
                 eprintln!("mb-serve: worker failed to build linker: {e}");
                 return;
             }
-        };
-        // Store-backed generations route stage-one retrieval through
-        // the IVF index; validated at publish time, so the same
-        // unreachable-in-practice policy applies here.
-        let linker = match generation.ann_source() {
-            Some(ann) => match linker.with_ann(ann) {
-                Ok(linker) => linker,
-                Err(e) => {
-                    eprintln!("mb-serve: worker failed to attach ANN index: {e}");
-                    return;
-                }
-            },
-            None => linker,
         };
         loop {
             let drained = if pending.is_empty() {

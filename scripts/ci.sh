@@ -31,6 +31,10 @@ STEPS=(
     "lint-cache|scripts/lint_cache_check.sh"
     "build|cargo build --release --workspace"
     "test|cargo test -q --workspace"
+    # The end-to-end benchmark is a workspace of its own, so the build
+    # above never compiles it; build it here so a public-API break
+    # fails CI instead of the benchmark run.
+    "perfbench-build|cargo build --release --offline --manifest-path perfbench/Cargo.toml"
     # Bench smoke: the probe harness exercises the full pipeline
     # (worldgen -> synthetic supervision -> two-stage training -> eval)
     # at bench scale on one domain.
